@@ -123,9 +123,8 @@ impl<'p> Pipeline<'p> {
         self
     }
 
-    /// Sets the before-state capture mode for the detection campaign's
-    /// injection wrappers (the verification campaign always captures
-    /// eagerly because its rollback hooks mutate the heap mid-extent).
+    /// Sets the before-state capture mode for the injection wrappers of
+    /// both the detection and the verification campaign.
     pub fn capture(mut self, capture: CaptureMode) -> Self {
         self.campaign_config.capture = capture;
         self

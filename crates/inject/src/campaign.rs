@@ -270,9 +270,9 @@ pub struct CampaignConfig {
     /// is honored as-is. `1` forces the sequential path.
     pub workers: usize,
     /// How injection wrappers capture pre-call state. Defaults to
-    /// [`CaptureMode::Lazy`] (undo-log reconstruction); campaigns with an
-    /// inner hook (masking verification) always use eager capture because
-    /// rollback hooks may reclaim objects mid-extent.
+    /// [`CaptureMode::Lazy`] (undo-log reconstruction), also under an
+    /// inner masking hook: the heap defers rollback reclamation until the
+    /// outermost journal layer closes, so the undo log stays valid.
     pub capture: CaptureMode,
     /// Whether runs record a flight-recorder trace. Defaults to
     /// [`TraceMode::Auto`] (the `ATOMASK_TRACE` environment variable;
@@ -283,9 +283,9 @@ pub struct CampaignConfig {
     /// Checkpoint stride for checkpoint-resume sweeps. Defaults to
     /// [`CheckpointStride::Auto`] (`ATOMASK_CKPT_STRIDE`, else `⌊√N⌋`).
     /// Checkpoint-resume only engages when the campaign's other knobs
-    /// permit it — fast-forward on, no inner hook, no flight recorder —
-    /// and silently falls back to from-scratch execution otherwise; either
-    /// way results and journals are bit-identical.
+    /// permit it — fast-forward on, no flight recorder — and silently
+    /// falls back to from-scratch execution otherwise; either way results
+    /// and journals are bit-identical.
     pub checkpoint_stride: CheckpointStride,
     /// Where campaign warnings go. Defaults to [`stderr_diagnostics`].
     pub diagnostics: DiagnosticsFn,
@@ -748,14 +748,15 @@ impl<'p> Campaign<'p> {
 
     /// `true` iff this campaign's configuration is one the checkpoint-
     /// resume engine covers: phase-gated fast-forward on (the resumed
-    /// hook's prefix seeding assumes the arithmetic counter), no inner
-    /// hook (a masking hook accumulates its own per-run state the replay
-    /// cannot reconstruct), and no flight recorder (a resumed run cannot
-    /// re-emit the prefix's trace events). Outside that envelope every
-    /// run executes from scratch — same results, just without the
-    /// speedup.
+    /// hook's prefix seeding assumes the arithmetic counter) and no flight
+    /// recorder (a resumed run cannot re-emit the prefix's trace events).
+    /// Inner hooks are covered: every attempt installs a fresh one from
+    /// the factory, the recording run installs the same chain, and sweep
+    /// checkpoints sit at top-level op boundaries, where no wrapped call
+    /// and no journal layer is open. Outside that envelope every run
+    /// executes from scratch — same results, just without the speedup.
     fn checkpointing_possible(&self) -> bool {
-        self.fast_forward && self.inner_hook.is_none() && self.config.trace.resolve().is_none()
+        self.fast_forward && self.config.trace.resolve().is_none()
     }
 
     /// The classic in-order sweep on the campaign thread.
@@ -976,7 +977,7 @@ impl<'p> Campaign<'p> {
             injection_point,
             budget,
             tracer,
-            self.effective_capture(),
+            self.config.capture,
             false,
             self.fast_forward,
         )
@@ -997,7 +998,7 @@ impl<'p> Campaign<'p> {
         vm.reset_for_run();
         vm.set_budget(self.config.budget);
         let hook = Rc::new(RefCell::new(
-            InjectionHook::observing().capture(self.effective_capture()),
+            InjectionHook::observing().capture(self.config.capture),
         ));
         self.install(vm, hook.clone());
         let checkpoints: Rc<RefCell<Vec<SweepCheckpoint>>> = Rc::default();
@@ -1065,7 +1066,7 @@ impl<'p> Campaign<'p> {
         vm.set_budget(budget);
         let hook = Rc::new(RefCell::new(
             InjectionHook::with_injection_point(injection_point)
-                .capture(self.effective_capture())
+                .capture(self.config.capture)
                 .fast_forward(true)
                 .resume_prefix(ckpt.point, ckpt.marks.clone(), ckpt.stats),
         ));
@@ -1226,7 +1227,6 @@ impl<'p> Campaign<'p> {
         let registry = Rc::new(self.program.build_registry());
         let mut vm = Vm::from_shared_registry(registry.clone());
         let tracer = Rc::new(RefCell::new(RingBufferSink::new(REPLAY_RING_CAPACITY)));
-        let capture = self.effective_capture();
         // First pass: the recorded run, bit-for-bit what the sweep journals
         // for this point. No minimizer here — it needs the lazy undo log
         // open at propagation time and the full comparison, so the second
@@ -1236,7 +1236,7 @@ impl<'p> Campaign<'p> {
             injection_point,
             self.config.budget,
             Some(tracer.clone()),
-            capture,
+            self.config.capture,
             false,
             false,
         );
@@ -1267,19 +1267,6 @@ impl<'p> Campaign<'p> {
             trace_dropped,
             registry,
             divergence,
-        }
-    }
-
-    /// The capture mode injector runs actually use: the configured mode,
-    /// except that campaigns weaving an inner hook (masking verification)
-    /// always capture eagerly — rollback hooks may reclaim objects in the
-    /// middle of a wrapped call's extent, which would punch holes in an
-    /// undo-log reconstruction of the before-graph.
-    fn effective_capture(&self) -> CaptureMode {
-        if self.inner_hook.is_some() {
-            CaptureMode::Eager
-        } else {
-            self.config.capture
         }
     }
 
@@ -1828,19 +1815,47 @@ mod tests {
                 Ok(last)
             },
         );
-        let sweep = |stride| {
+        // An inner hook (a masking wrapper, in verification campaigns)
+        // must not push the sweep off the resume path.
+        use atomask_mor::{CallSite, Exception, HookGuard, MethodResult};
+        struct Inert;
+        impl CallHook for Inert {
+            fn before(&mut self, _: &mut Vm, _: &CallSite) -> Result<HookGuard, Exception> {
+                Ok(None)
+            }
+            fn after(
+                &mut self,
+                _: &mut Vm,
+                _: &CallSite,
+                _: HookGuard,
+                r: MethodResult,
+            ) -> MethodResult {
+                r
+            }
+        }
+        let sweep = |stride, inner: bool| {
             BODY_RUNS.with(|b| b.set(0));
-            let result = Campaign::new(&p).workers(1).checkpoint_stride(stride).run();
-            (result, BODY_RUNS.with(|b| b.get()))
+            // Tracing pinned off: under `ATOMASK_TRACE=ring` the default
+            // `TraceMode::Auto` would turn resume off for both sweeps.
+            let mut campaign = Campaign::new(&p)
+                .workers(1)
+                .trace(TraceMode::Off)
+                .checkpoint_stride(stride);
+            if inner {
+                campaign = campaign.with_inner_hook(|_| Rc::new(RefCell::new(Inert)));
+            }
+            (campaign.run(), BODY_RUNS.with(|b| b.get()))
         };
-        let (scratch, scratch_bodies) = sweep(CheckpointStride::Off);
-        let (resumed, resumed_bodies) = sweep(CheckpointStride::Every(1));
-        assert_eq!(scratch.runs, resumed.runs, "bit-identical results");
-        assert!(
-            resumed_bodies * 2 < scratch_bodies,
-            "resumed sweep re-executed almost as many guest bodies \
-             ({resumed_bodies}) as the quadratic from-scratch sweep \
-             ({scratch_bodies})"
-        );
+        for inner in [false, true] {
+            let (scratch, scratch_bodies) = sweep(CheckpointStride::Off, inner);
+            let (resumed, resumed_bodies) = sweep(CheckpointStride::Every(1), inner);
+            assert_eq!(scratch.runs, resumed.runs, "bit-identical results");
+            assert!(
+                resumed_bodies * 2 < scratch_bodies,
+                "resumed sweep (inner hook: {inner}) re-executed almost as many \
+                 guest bodies ({resumed_bodies}) as the quadratic from-scratch \
+                 sweep ({scratch_bodies})"
+            );
+        }
     }
 }

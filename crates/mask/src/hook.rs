@@ -14,7 +14,11 @@ pub struct MaskStats {
     pub restores: u64,
     /// Total bytes checkpointed.
     pub bytes_checkpointed: u64,
-    /// Objects reclaimed by rollback cleanup.
+    /// Objects reclaimed by rollback cleanup. Reads 0 for rollbacks nested
+    /// inside an open heap journal layer (an injection wrapper's, say),
+    /// where [`atomask_mor::Heap::reclaim`] defers the release until the
+    /// outermost layer closes; [`atomask_mor::HeapStats::reclaimed`]
+    /// counts every release.
     pub reclaimed: u64,
 }
 
@@ -104,7 +108,7 @@ impl CallHook for MaskingHook {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use atomask_mor::{Profile, Registry, RegistryBuilder, Value};
     use std::cell::RefCell;
@@ -233,5 +237,65 @@ mod tests {
         vm.root(s);
         vm.call(s, "push", &[Value::Int(1)]).unwrap();
         assert_eq!(hook.borrow().stats().checkpoints, 0);
+    }
+
+    /// `outer` calls the unwrapped `clear` (writes `head.value`, unlinks
+    /// `head`), then `fail`, which throws.
+    fn unlink_then_fail() -> Registry {
+        let mut rb = RegistryBuilder::new(Profile::java());
+        rb.exception("Boom");
+        rb.class("List", |c| {
+            c.field("head", Value::Null);
+            c.method("outer", |ctx, this, _| {
+                ctx.call(this, "clear", &[])?;
+                ctx.call(this, "fail", &[])
+            });
+            c.method("clear", |ctx, this, _| {
+                if let Some(a) = ctx.get(this, "head").as_ref_id() {
+                    ctx.set(a, "value", Value::Int(1));
+                }
+                ctx.set(this, "head", Value::Null);
+                Ok(Value::Null)
+            });
+            c.method("fail", |ctx, _, _| Err(ctx.exception("Boom", "fail")));
+        });
+        rb.class("Node", |c| {
+            c.field("value", Value::Int(0));
+        });
+        rb.build()
+    }
+
+    /// Calls `outer` on a list whose only node `a` the unwrapped `clear`
+    /// writes and unlinks before `fail` throws, under the hook `make`
+    /// builds from the ids of `outer` and `fail`. The exception must
+    /// propagate, and the rollbacks must link `a` back with its old value.
+    pub(crate) fn assert_unlink_then_fail_rolls_back(
+        make: impl FnOnce(MethodId, MethodId) -> Rc<RefCell<dyn CallHook>>,
+    ) {
+        let reg = unlink_then_fail();
+        let list = reg.class_by_name("List").unwrap();
+        let [outer, fail] =
+            ["outer", "fail"].map(|m| list.methods[list.method_slot(m).unwrap()].gid);
+        let mut vm = atomask_mor::Vm::new(reg);
+        vm.set_hook(Some(make(outer, fail)));
+        let l = vm.construct("List", &[]).unwrap();
+        vm.root(l);
+        let a = vm.construct("Node", &[]).unwrap();
+        vm.heap_mut().set_field(l, "head", Value::Ref(a)).unwrap();
+        let err = vm.call(l, "outer", &[]).unwrap_err();
+        assert_eq!(err.message, "fail");
+        assert_eq!(vm.heap().field(l, "head"), Some(Value::Ref(a)));
+        assert_eq!(vm.heap().field(a, "value"), Some(Value::Int(0)));
+        assert_eq!(vm.heap().refcount(a), 1);
+        assert_eq!(vm.heap().journal_depth(), 0);
+    }
+
+    /// Deep-copy twin of the undo-log regression test: `fail`'s rollback
+    /// frees the unlinked `a`; `outer`'s restore resurrects it.
+    #[test]
+    fn nested_rollback_over_an_unlinked_object_restores_it() {
+        assert_unlink_then_fail_rolls_back(|outer, fail| {
+            Rc::new(RefCell::new(MaskingHook::wrapping([outer, fail])))
+        });
     }
 }

@@ -11,9 +11,12 @@
 //!
 //! Semantics: rollback restores *every* heap write made below the wrapped
 //! call, which is a superset of Listing 2's receiver-graph restoration —
-//! the corrected program is failure atomic a fortiori. Do not mix undo-log
-//! and deep-copy wrappers in one VM: a deep-copy restore bypasses the
-//! journal.
+//! the corrected program is failure atomic a fortiori. Undo-log and
+//! deep-copy wrappers may share one VM: a deep-copy restore bypasses the
+//! journal, but it only rewrites cells written since its checkpoint, which
+//! an enclosing undo layer has journaled, and [`atomask_mor::Heap::reclaim`]
+//! defers rollback cleanup while any layer is open, so no object an
+//! enclosing layer names can be released under it.
 
 use atomask_mor::{CallHook, CallSite, Exception, HookGuard, MethodId, MethodResult, Vm};
 use std::collections::HashSet;
@@ -27,7 +30,11 @@ pub struct UndoStats {
     pub rollbacks: u64,
     /// Individual field writes undone across all rollbacks.
     pub writes_undone: u64,
-    /// Objects reclaimed by rollback cleanup.
+    /// Objects reclaimed by rollback cleanup. Reads 0 for rollbacks nested
+    /// inside an open heap journal layer (an enclosing wrapped call's, or
+    /// an injection wrapper's), where [`atomask_mor::Heap::reclaim`] defers
+    /// the release until the outermost layer closes;
+    /// [`atomask_mor::HeapStats::reclaimed`] counts every release.
     pub reclaimed: u64,
 }
 
@@ -98,7 +105,9 @@ impl CallHook for UndoMaskingHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomask_mor::{Profile, Registry, RegistryBuilder, Value};
+    use crate::hook::tests::assert_unlink_then_fail_rolls_back;
+    use crate::MaskingHook;
+    use atomask_mor::{HookChain, Profile, Registry, RegistryBuilder, Value};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -207,5 +216,93 @@ mod tests {
         assert_eq!(stats.rollbacks, 0);
         assert_eq!(stats.writes_undone, 0);
         assert_eq!(vm.heap().journal_depth(), 0);
+    }
+
+    /// `fail`'s rollback cleanup must not free the `a` that `outer`'s
+    /// unwrapped callee unlinked: `outer`'s still-open journal layer is
+    /// about to write it back.
+    #[test]
+    fn nested_rollback_over_an_unlinked_object_restores_it() {
+        assert_unlink_then_fail_rolls_back(|outer, fail| {
+            Rc::new(RefCell::new(UndoMaskingHook::wrapping([outer, fail])))
+        });
+    }
+
+    /// `outer` swallows the exception of `inner`, whose rollback leaves
+    /// the node it linked as garbage, then allocates a node and returns
+    /// it; the unwrapped `caller` links what `outer` returns.
+    fn swallow_then_return() -> Registry {
+        let mut rb = RegistryBuilder::new(Profile::java());
+        rb.exception("Boom");
+        rb.class("Maker", |c| {
+            c.field("head", Value::Null);
+            c.method("caller", |ctx, this, _| {
+                let made = ctx.call(this, "outer", &[])?;
+                ctx.set(this, "head", made);
+                Ok(Value::Null)
+            });
+            c.method("outer", |ctx, this, _| {
+                let _ = ctx.call(this, "inner", &[]);
+                let node = ctx.alloc("Node");
+                ctx.set(node, "value", Value::Int(7));
+                Ok(Value::Ref(node))
+            });
+            c.method("inner", |ctx, this, _| {
+                let node = ctx.alloc("Node");
+                ctx.set(this, "head", Value::Ref(node));
+                Err(ctx.exception("Boom", "inner"))
+            });
+        });
+        rb.class("Node", |c| {
+            c.field("value", Value::Int(0));
+        });
+        rb.build()
+    }
+
+    /// `inner`'s rollback cleanup is deferred while `outer`'s layer is
+    /// open; when it runs, the node `outer` returns is still in flight to
+    /// its caller and must survive.
+    #[test]
+    fn object_returned_after_a_swallowed_rollback_survives_the_release() {
+        let reg = swallow_then_return();
+        let maker = reg.class_by_name("Maker").unwrap();
+        let [outer, inner] =
+            ["outer", "inner"].map(|m| maker.methods[maker.method_slot(m).unwrap()].gid);
+        let mut vm = atomask_mor::Vm::new(reg);
+        vm.set_hook(Some(Rc::new(RefCell::new(UndoMaskingHook::wrapping([
+            outer, inner,
+        ])))));
+        let m = vm.construct("Maker", &[]).unwrap();
+        vm.root(m);
+        // Returned into a caller's frame, which links it.
+        vm.call(m, "caller", &[]).unwrap();
+        let linked = vm.heap().field(m, "head").unwrap().as_ref_id().unwrap();
+        assert!(vm.heap().is_live(linked));
+        assert_eq!(vm.heap().field(linked, "value"), Some(Value::Int(7)));
+        assert_eq!(vm.heap().stats().reclaimed, 1, "inner's node was released");
+        // Returned to the driver, which roots and links it.
+        let made = vm.call(m, "outer", &[]).unwrap().as_ref_id().unwrap();
+        assert!(vm.heap().is_live(made));
+        vm.root(made);
+        vm.heap_mut()
+            .set_field(m, "head", Value::Ref(made))
+            .unwrap();
+        assert_eq!(vm.heap().field(made, "value"), Some(Value::Int(7)));
+        assert_eq!(vm.heap().stats().reclaimed, 2);
+        assert_eq!(vm.heap().journal_depth(), 0);
+    }
+
+    /// Both nestings of the two wrapper kinds in one VM: the undo-log
+    /// wrapper around a deep-copy-wrapped callee, and the reverse.
+    #[test]
+    fn undo_log_and_deep_copy_wrappers_mix() {
+        let mixed = |undo: MethodId, deep: MethodId| -> Rc<RefCell<dyn CallHook>> {
+            Rc::new(RefCell::new(HookChain::new(vec![
+                Rc::new(RefCell::new(UndoMaskingHook::wrapping([undo]))),
+                Rc::new(RefCell::new(MaskingHook::wrapping([deep]))),
+            ])))
+        };
+        assert_unlink_then_fail_rolls_back(|outer, fail| mixed(outer, fail));
+        assert_unlink_then_fail_rolls_back(|outer, fail| mixed(fail, outer));
     }
 }

@@ -66,7 +66,8 @@ impl Object {
 pub struct HeapStats {
     /// Objects ever allocated.
     pub allocated: u64,
-    /// Objects released by [`Heap::reclaim`] (reference counting).
+    /// Objects released by [`Heap::reclaim`] (reference counting),
+    /// including releases deferred while a journal layer was open.
     pub reclaimed: u64,
     /// Objects released by [`Heap::collect`] (mark–sweep).
     pub collected: u64,
@@ -90,6 +91,19 @@ struct JournalLog {
     /// Open layers, outermost first: `(writes watermark, allocs
     /// watermark)` at the moment the layer was pushed.
     layers: Vec<(usize, usize)>,
+    /// A [`Heap::reclaim`] was requested while a layer was open and has
+    /// not run yet.
+    pending_release: bool,
+}
+
+impl JournalLog {
+    /// Drops every layer, entry and pending release.
+    fn clear(&mut self) {
+        self.writes.clear();
+        self.allocs.clear();
+        self.layers.clear();
+        self.pending_release = false;
+    }
 }
 
 /// A structural copy of the whole heap at a quiescent boundary, captured
@@ -187,9 +201,7 @@ impl Heap {
         self.root_counts.clear();
         self.live = 0;
         self.stats = HeapStats::default();
-        self.journal.writes.clear();
-        self.journal.allocs.clear();
-        self.journal.layers.clear();
+        self.journal.clear();
         self.mutations += 1;
     }
 
@@ -199,12 +211,17 @@ impl Heap {
     ///
     /// # Panics
     ///
-    /// Panics if a journal layer is open — checkpoints are only meaningful
-    /// at quiescent top-level boundaries, where no undo state is pending.
+    /// Panics if a journal layer is open or a deferred release is still
+    /// pending — checkpoints are only meaningful at quiescent top-level
+    /// boundaries, where no undo state is pending.
     pub fn checkpoint(&self) -> HeapCheckpoint {
         assert!(
             self.journal.layers.is_empty(),
             "heap checkpoint with an open journal layer"
+        );
+        assert!(
+            !self.journal.pending_release,
+            "heap checkpoint with a pending deferred release"
         );
         HeapCheckpoint {
             objects: self.objects.clone(),
@@ -226,9 +243,7 @@ impl Heap {
         self.root_counts.clone_from(&ckpt.root_counts);
         self.live = ckpt.live;
         self.stats = ckpt.stats;
-        self.journal.writes.clear();
-        self.journal.allocs.clear();
-        self.journal.layers.clear();
+        self.journal.clear();
         self.mutations += 1;
     }
 
@@ -407,7 +422,24 @@ impl Heap {
     ///
     /// This is the paper's reference-counting rollback cleanup (§5.1
     /// limitation 4); cyclic garbage survives and needs [`Heap::collect`].
+    ///
+    /// While any journal layer is open the release is **deferred**: the
+    /// call records a pending release and returns 0. An enclosing layer's
+    /// undo log and as-of view may still name any object that was live
+    /// when it opened, so none may vanish mid-extent. Closing the layers
+    /// does not run the release, since a caller may be holding an
+    /// unrooted reference at that moment (a returned object, say); it runs
+    /// at the next `reclaim` once no layer is open. The VM issues that
+    /// call when it returns from the call whose hook closed the outermost
+    /// layer, with the call's result held ([`Heap::release_due`]). The
+    /// return value therefore reads 0 for rollbacks nested in a layer;
+    /// [`HeapStats::reclaimed`] counts every release, deferred or not.
     pub fn reclaim(&mut self) -> usize {
+        if !self.journal.layers.is_empty() {
+            self.journal.pending_release = true;
+            return 0;
+        }
+        self.journal.pending_release = false;
         let mut worklist: Vec<ObjId> = self
             .iter()
             .map(|(id, _)| id)
@@ -595,10 +627,18 @@ impl Heap {
         }
     }
 
+    /// `true` when a release deferred by [`Heap::reclaim`] is waiting and
+    /// no journal layer is open any more, so the next `reclaim` runs it.
+    #[inline]
+    pub fn release_due(&self) -> bool {
+        self.journal.pending_release && self.journal.layers.is_empty()
+    }
+
     /// Closes the innermost layer and rolls back every write it recorded,
     /// newest first. Objects allocated under the layer become garbage once
     /// the rollback drops the references to them (reclaim with
-    /// [`Heap::reclaim`]). Returns the number of writes undone.
+    /// [`Heap::reclaim`], which also runs any release deferred while a
+    /// layer was open). Returns the number of writes undone.
     ///
     /// # Panics
     ///
@@ -701,9 +741,9 @@ impl Heap {
     /// reference objects that already existed (ids are monotonic and never
     /// reused), so if every dirty cell reads its layer-open value, no cell
     /// reachable from a pre-existing root references a layer-born object.
-    /// Reclamation never runs while a layer is open, so no pre-existing
-    /// object can have vanished either. Returns `true` when no layer is
-    /// open (an empty overlay changes nothing).
+    /// [`Heap::reclaim`] defers its release while a layer is open, so no
+    /// pre-existing object can have vanished either. Returns `true` when
+    /// no layer is open (an empty overlay changes nothing).
     pub fn journal_innermost_reverted(&self) -> bool {
         let Some(&(writes_mark, _)) = self.journal.layers.last() else {
             return true;
@@ -800,10 +840,10 @@ impl AsOfHeap<'_> {
     /// `None` if the object did not exist then (allocated under the layer,
     /// or dead in the underlying heap).
     ///
-    /// Objects live at layer-open time cannot have died since — deferred
-    /// reclamation only runs between top-level calls, never while a
-    /// wrapper's layer is open — so reading through the live heap plus the
-    /// overlay is exact.
+    /// Objects live at layer-open time cannot have died since —
+    /// [`Heap::reclaim`] defers its release until every layer has closed
+    /// — so reading through the live heap plus the overlay is
+    /// exact.
     pub fn node(&self, id: ObjId) -> Option<(ClassId, Vec<Value>)> {
         if self.born.contains(&id) {
             return None;
@@ -1031,6 +1071,59 @@ mod tests {
         assert_eq!(h.refcount(c), 0, "c dropped by rollback");
         assert_eq!(h.reclaim(), 1, "c is garbage");
         assert!(h.is_live(b));
+    }
+
+    #[test]
+    fn reclaim_inside_a_layer_waits_until_every_layer_has_closed() {
+        for outer_commit in [true, false] {
+            let mut h = heap();
+            let a = alloc_node(&mut h);
+            h.root(a);
+            let b = alloc_node(&mut h);
+            h.set_field(a, "next", Value::Ref(b)).unwrap();
+            h.push_journal(); // outer
+            h.set_field(a, "next", Value::Null).unwrap();
+            h.push_journal(); // inner
+            assert_eq!(h.reclaim(), 0, "deferred while layers are open");
+            assert!(h.is_live(b), "the outer undo log still names b");
+            h.commit_journal();
+            assert!(!h.release_due(), "an outer layer is still open");
+            if outer_commit {
+                h.commit_journal();
+            } else {
+                h.abort_journal();
+                h.set_field(a, "next", Value::Null).unwrap();
+            }
+            assert!(h.is_live(b), "closing a layer releases nothing");
+            assert!(h.release_due());
+            assert_eq!(h.reclaim(), 1, "b is garbage once both layers are gone");
+            assert!(!h.release_due());
+            assert_eq!(h.stats().reclaimed, 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pending deferred release")]
+    fn checkpoint_with_a_pending_release_panics() {
+        let mut h = heap();
+        h.push_journal();
+        h.reclaim();
+        h.abort_journal();
+        h.checkpoint();
+    }
+
+    #[test]
+    fn epoch_reset_and_restore_drop_a_pending_release() {
+        let mut h = heap();
+        let ckpt = h.checkpoint();
+        h.push_journal();
+        h.reclaim();
+        h.epoch_reset();
+        h.checkpoint();
+        h.push_journal();
+        h.reclaim();
+        h.restore_checkpoint(&ckpt);
+        h.checkpoint();
     }
 
     #[test]

@@ -650,6 +650,24 @@ impl Vm {
         });
     }
 
+    /// Runs the release [`Heap::reclaim`] deferred while a journal layer
+    /// was open, from `dispatch` once the hooks closed the last layer. The
+    /// call's receiver and arguments are still rooted there; its `result`
+    /// is not rooted by the caller's frame (or the driver) yet, so it is
+    /// held across the release.
+    #[cold]
+    #[inline(never)]
+    fn release_deferred(&mut self, result: &MethodResult) {
+        let held = result.as_ref().ok().and_then(Value::as_ref_id);
+        if let Some(id) = held {
+            self.heap.root(id);
+        }
+        self.heap.reclaim();
+        if let Some(id) = held {
+            self.heap.unroot(id);
+        }
+    }
+
     fn dispatch(
         &mut self,
         mid: MethodId,
@@ -747,6 +765,11 @@ impl Vm {
         if body_ran {
             if let Some(h) = &hook {
                 result = h.borrow_mut().after(self, &site, guard, result);
+                // Journal layers open and close in hooks, so a release the
+                // heap deferred while one was open falls due here.
+                if self.heap.release_due() {
+                    self.release_deferred(&result);
+                }
             }
         }
         self.heap.unroot(recv);

@@ -1,6 +1,8 @@
 //! Property tests of the heap: reference counts always equal in-degrees,
 //! reclamation frees exactly the unreachable acyclic garbage, mark–sweep
-//! agrees with reachability, and journal abort is an exact inverse.
+//! agrees with reachability, journal abort is an exact inverse, and a
+//! reclaim deferred by open journal layers frees what an immediate one
+//! would.
 
 use atomask_mor::{Heap, ObjId, Profile, RegistryBuilder, Value, Vm};
 use proptest::prelude::*;
@@ -200,6 +202,108 @@ proptest! {
         apply_on_existing(&mut vm, &live, &mutations);
         vm.heap_mut().abort_journal();
         prop_assert_eq!(Snapshot::of_roots(vm.heap(), &live), before);
+    }
+}
+
+/// One step of a layered mutation script.
+#[derive(Debug, Clone)]
+enum LayerOp {
+    Mutate(HeapOp),
+    Push,
+    Commit,
+    Abort,
+}
+
+fn layer_op() -> impl Strategy<Value = LayerOp> {
+    prop_oneof![
+        6 => heap_op().prop_map(LayerOp::Mutate),
+        1 => Just(LayerOp::Push),
+        1 => Just(LayerOp::Commit),
+        1 => Just(LayerOp::Abort),
+    ]
+}
+
+/// Runs `script` under an outermost journal layer that stays open until
+/// the end (inner layers open and close as scripted; allocations are left
+/// unrooted so unlinks make garbage), calling `reclaim()` just before step
+/// `reclaim_at` when given. Then closes every open layer — inner ones by
+/// commit, the outermost by commit or abort per `outer_commit` — checks
+/// that a release is due exactly when one was deferred, and calls
+/// `reclaim()` once more. Returns the VM and the sorted live ids.
+fn run_layered(
+    setup: &[HeapOp],
+    script: &[LayerOp],
+    reclaim_at: Option<usize>,
+    outer_commit: bool,
+) -> (Vm, Vec<ObjId>) {
+    let mut vm = fresh_vm();
+    let mut nodes = apply(&mut vm, setup);
+    for &n in nodes.iter().take(nodes.len() / 2) {
+        vm.unroot(n);
+    }
+    nodes.retain(|n| vm.heap().is_live(*n));
+    vm.heap_mut().push_journal();
+    for (i, op) in script.iter().enumerate() {
+        if reclaim_at == Some(i) {
+            let live = vm.heap().len();
+            assert_eq!(vm.heap_mut().reclaim(), 0, "reclaim ran inside a layer");
+            assert_eq!(vm.heap().len(), live, "an object died inside a layer");
+        }
+        let depth = vm.heap().journal_depth();
+        match op {
+            LayerOp::Push => vm.heap_mut().push_journal(),
+            LayerOp::Commit if depth > 1 => vm.heap_mut().commit_journal(),
+            LayerOp::Abort if depth > 1 => {
+                vm.heap_mut().abort_journal();
+            }
+            LayerOp::Mutate(HeapOp::Alloc) => nodes.push(vm.alloc_raw("N")),
+            LayerOp::Mutate(m @ (HeapOp::Link(..) | HeapOp::Unlink(..))) if !nodes.is_empty() => {
+                apply_on_existing(&mut vm, &nodes, std::slice::from_ref(m));
+            }
+            _ => {}
+        }
+    }
+    let live = vm.heap().len();
+    while vm.heap().journal_depth() > 1 {
+        vm.heap_mut().commit_journal();
+    }
+    if outer_commit {
+        vm.heap_mut().commit_journal();
+    } else {
+        vm.heap_mut().abort_journal();
+    }
+    assert_eq!(vm.heap().len(), live, "closing a layer released an object");
+    assert_eq!(vm.heap().release_due(), reclaim_at.is_some());
+    vm.heap_mut().reclaim();
+    assert!(!vm.heap().release_due());
+    let live = vm.heap().iter().map(|(id, _)| id).collect();
+    (vm, live)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A `reclaim()` requested inside open layers releases nothing until
+    /// they have all closed, and then frees exactly what a `reclaim()`
+    /// requested only after they closed would free.
+    #[test]
+    fn deferred_reclaim_releases_what_an_immediate_one_would(
+        setup in prop::collection::vec(heap_op(), 1..30),
+        script in prop::collection::vec(layer_op(), 1..40),
+        at in any::<usize>(),
+        outer_commit in any::<bool>(),
+    ) {
+        let at = at % script.len();
+        let (deferred, deferred_live) = run_layered(&setup, &script, Some(at), outer_commit);
+        let (immediate, immediate_live) = run_layered(&setup, &script, None, outer_commit);
+        prop_assert_eq!(deferred_live, immediate_live);
+        prop_assert_eq!(deferred.heap().stats(), immediate.heap().stats());
+        // The release left consistent refcounts and a checkpointable heap.
+        let deg = in_degrees(deferred.heap());
+        for (id, _) in deferred.heap().iter() {
+            prop_assert_eq!(deferred.heap().refcount(id), deg.get(&id).copied().unwrap_or(0));
+        }
+        deferred.heap().checkpoint();
     }
 }
 
